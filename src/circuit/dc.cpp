@@ -1,69 +1,29 @@
 #include "circuit/dc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "linalg/lu.hpp"
 
 namespace gnrfet::circuit {
-
-namespace {
-
-/// One Newton solve at fixed source scale. Returns converged flag; x is
-/// updated in place.
-bool newton(const Circuit& ckt, std::vector<double>& x, double source_scale,
-            const DcOptions& opts, int* iterations) {
-  const size_t n = ckt.num_unknowns();
-  TransientContext ctx;
-  ctx.dt = 0.0;
-  ctx.source_scale = source_scale;
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    linalg::DMatrix jac(n, n);
-    std::vector<double> res(n, 0.0);
-    Stamper st(ckt, x, jac, res);
-    for (const auto& e : ckt.elements()) e->stamp(st, ctx);
-    check_mna_stamp(ckt, jac, res);
-    double res_norm = 0.0;
-    for (const double r : res) res_norm = std::max(res_norm, std::abs(r));
-    if (iterations) *iterations = it;
-    // Tiny diagonal regularization (gmin) keeps floating internal nodes
-    // solvable without visibly perturbing operating points.
-    for (size_t i = 0; i + ckt.num_branches() < n; ++i) jac(i, i) += 1e-12;
-    std::vector<double> rhs(n);
-    for (size_t i = 0; i < n; ++i) rhs[i] = -res[i];
-    std::vector<double> dx;
-    try {
-      metrics::add(metrics::Counter::kMnaFactorizations);
-      dx = linalg::LUReal(jac).solve(rhs);
-    } catch (const std::exception&) {
-      return false;
-    }
-    double max_dx = 0.0;
-    for (size_t i = 0; i + ckt.num_branches() < n; ++i) {
-      dx[i] = std::clamp(dx[i], -opts.max_step_V, opts.max_step_V);
-      max_dx = std::max(max_dx, std::abs(dx[i]));
-    }
-    for (size_t i = 0; i < n; ++i) x[i] += dx[i];
-    if (res_norm < opts.residual_tolerance_A && max_dx < opts.update_tolerance_V) return true;
-    if (max_dx < opts.update_tolerance_V && res_norm < 1e-9) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial,
                   const DcOptions& opts) {
   trace::Span span("circuit", "solve_dc");
+  NewtonKernel kernel(ckt);
+  NewtonLimits limits;
+  limits.max_iterations = opts.max_iterations;
+  limits.residual_tolerance_A = opts.residual_tolerance_A;
+  limits.update_tolerance_V = opts.update_tolerance_V;
+  limits.settled_residual_A = 1e-9;
+  limits.max_step_V = opts.max_step_V;
+  TransientContext ctx;  // dt = 0: charge branches are open
+
   DcResult result;
   result.x.assign(ckt.num_unknowns(), 0.0);
   if (initial.size() == result.x.size()) result.x = initial;
 
   int iters = 0;
-  if (newton(ckt, result.x, 1.0, opts, &iters)) {
-    result.converged = true;
+  result.status = kernel.solve(result.x, ctx, limits, &iters);
+  if (result.converged()) {
     result.iterations = iters;
     return result;
   }
@@ -71,14 +31,15 @@ DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial,
   std::vector<double> x(ckt.num_unknowns(), 0.0);
   const int steps = 20;
   for (int s = 1; s <= steps; ++s) {
-    const double scale = static_cast<double>(s) / steps;
-    if (!newton(ckt, x, scale, opts, &iters)) {
-      result.converged = false;
+    ctx.source_scale = static_cast<double>(s) / steps;
+    result.status = kernel.solve(x, ctx, limits, &iters);
+    if (!result.converged()) {
+      metrics::add(result.status == DcStatus::kSingular ? metrics::Counter::kDcSingular
+                                                         : metrics::Counter::kDcNotConverged);
       return result;
     }
   }
   result.x = x;
-  result.converged = true;
   result.iterations = iters;
   return result;
 }

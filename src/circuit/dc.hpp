@@ -1,6 +1,6 @@
 #pragma once
 
-#include "circuit/mna.hpp"
+#include "circuit/newton.hpp"
 
 /// Newton DC operating-point solver with source-stepping homotopy.
 namespace gnrfet::circuit {
@@ -12,15 +12,22 @@ struct DcOptions {
   double max_step_V = 0.3;  ///< Newton damping clamp
 };
 
+/// How a DC solve ended: the outcome of its last Newton solve (converged,
+/// a numerically singular Jacobian, or the iteration limit).
+using DcStatus = NewtonOutcome;
+
 struct DcResult {
-  bool converged = false;
+  DcStatus status = DcStatus::kNotConverged;
   int iterations = 0;
   std::vector<double> x;  ///< node voltages + branch currents
+
+  bool converged() const { return status == DcStatus::kConverged; }
 };
 
 /// Solve at full sources. `initial` (may be empty) seeds Newton; if direct
 /// Newton fails, sources are ramped from 0 in steps (each step warm-started
-/// from the last).
+/// from the last). A failed solve increments the metrics counter of its
+/// status (dc_singular / dc_not_converged).
 DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial = {},
                   const DcOptions& opts = {});
 

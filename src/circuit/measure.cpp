@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuit/snm.hpp"
+#include "common/metrics.hpp"
 
 namespace gnrfet::circuit {
 
@@ -92,7 +93,7 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   topt.t_stop = 1.25 * period;
   topt.dt = opts.dt_s;
   const TransientResult tr = run_transient(tb.ckt, topt);
-  if (!tr.ok) return m;
+  if (!tr.ok()) return m;
 
   const auto v_in = tr.waves.node(tb.ckt, tb.in);
   const auto v_out = tr.waves.node(tb.ckt, tb.out);
@@ -134,13 +135,27 @@ RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
   topt.t_stop = opts.t_stop_s;
   topt.dt = opts.dt_s;
   topt.initial_x = ro.kick_state();
-  const TransientResult tr = run_transient(ro.ckt, topt);
-  if (!tr.ok) return m;
-
-  const auto v0 = tr.waves.node(ro.ckt, ro.stage_out.front());
+  TransientResult tr;
+  std::vector<double> cross;
+  for (const double horizon : {1.0, 4.0}) {
+    topt.t_stop = horizon * opts.t_stop_s;
+    if (horizon > 1.0) metrics::add(metrics::Counter::kRingHorizonRetries);
+    tr = run_transient(ro.ckt, topt);
+    if (!tr.ok()) {
+      m.failure = tr.status == TransientStatus::kDcFailed ? RingFailure::kDcFailed
+                                                          : RingFailure::kNewtonFailed;
+      return m;
+    }
+    cross = crossing_times(tr.waves.time, tr.waves.node(ro.ckt, ro.stage_out.front()),
+                           0.5 * opts.vdd, true);
+    if (cross.size() >= 3) break;
+  }
+  if (cross.size() < 3) {  // did not oscillate, or too slow even for 4x the horizon
+    m.failure = RingFailure::kTooFewCrossings;
+    metrics::add(metrics::Counter::kRingTooFewCrossings);
+    return m;
+  }
   const auto i_vdd = tr.waves.branch(ro.ckt, ro.vdd_branch);
-  const auto cross = crossing_times(tr.waves.time, v0, 0.5 * opts.vdd, true);
-  if (cross.size() < 3) return m;  // did not oscillate (or too slow)
   // Measure over the trailing crossings (settled oscillation), keeping at
   // least two full periods.
   const size_t first = std::min(cross.size() - 3, static_cast<size_t>(

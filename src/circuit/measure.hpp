@@ -42,6 +42,11 @@ struct InverterMeasureOptions {
 InverterMetrics measure_inverter(const InverterModels& driver, const InverterModels& load,
                                  const InverterMeasureOptions& opts);
 
+/// Why a ring measurement has no figures: its transient found no DC
+/// point, a time step's Newton solve failed, or the first stage crossed
+/// mid-rail rising fewer than 3 times even over the extended horizon.
+enum class RingFailure { kNone, kDcFailed, kNewtonFailed, kTooFewCrossings };
+
 /// Ring-oscillator figures of merit.
 struct RingMetrics {
   double frequency_Hz = 0.0;
@@ -51,6 +56,7 @@ struct RingMetrics {
   double energy_per_cycle_J = 0.0;
   double edp_Js = 0.0;  ///< energy per cycle x period
   bool ok = false;
+  RingFailure failure = RingFailure::kNone;  ///< why ok is false
 };
 
 struct RingMeasureOptions {
@@ -60,6 +66,10 @@ struct RingMeasureOptions {
   double measure_fraction = 0.5;  ///< analyze the trailing fraction
 };
 
+/// Simulates opts.t_stop_s; a ring that crosses mid-rail rising fewer than
+/// 3 times (a slow corner) is simulated once more over 4x the horizon
+/// before the measurement gives up with kTooFewCrossings. Each retry and
+/// each give-up increments its metrics counter.
 RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
                                     const InverterModels& load, const RingMeasureOptions& opts);
 

@@ -1,5 +1,6 @@
 #include "circuit/mna.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -7,22 +8,27 @@
 
 namespace gnrfet::circuit {
 
-void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
-                     const std::vector<double>& res) {
+void MnaSystem::clear() {
+  std::fill(values_.begin(), values_.end(), 0.0);
+  std::fill(res_.begin(), res_.end(), 0.0);
+}
+
+void check_mna_stamp(const Circuit& ckt, const MnaSystem& sys) {
 #if GNRFET_CHECKS_ENABLED
-  const size_t n = ckt.num_unknowns();
-  for (size_t i = 0; i < n; ++i) {
-    GNRFET_CHECK_FINITE("circuit", "finite-stamp", res[i]);
-    for (size_t j = 0; j < n; ++j) {
-      GNRFET_REQUIRE("circuit", "finite-stamp", std::isfinite(jac(i, j)),
-                     strings::format("Jacobian(%zu, %zu) = %g (degenerate element stamp?)", i,
-                                     j, jac(i, j)));
-    }
+  const auto& entries = sys.entries();
+  const auto& values = sys.values();
+  for (const double r : sys.residual()) GNRFET_CHECK_FINITE("circuit", "finite-stamp", r);
+  for (size_t s = 0; s < entries.size(); ++s) {
+    GNRFET_REQUIRE("circuit", "finite-stamp", std::isfinite(values[s]),
+                   strings::format("Jacobian(%zu, %zu) = %g (degenerate element stamp?)",
+                                   entries[s].first, entries[s].second, values[s]));
   }
   for (size_t b = 0; b < ckt.num_branches(); ++b) {
     const size_t row = ckt.unknown_of_branch(b);
     bool structural = false;
-    for (size_t j = 0; j < n && !structural; ++j) structural = jac(row, j) != 0.0;
+    for (size_t s = 0; s < entries.size() && !structural; ++s) {
+      structural = entries[s].first == row && values[s] != 0.0;
+    }
     GNRFET_REQUIRE("circuit", "structural-rank", structural,
                    strings::format("branch row %zu is all-zero: voltage source shorted to "
                                    "itself or stamped between identical nodes",
@@ -30,8 +36,7 @@ void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
   }
 #else
   (void)ckt;
-  (void)jac;
-  (void)res;
+  (void)sys;
 #endif
 }
 

@@ -1,15 +1,18 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "linalg/dense.hpp"
+#include "linalg/ordered_lu.hpp"
 
 /// Modified nodal analysis core for the lookup-table circuit simulator of
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
-/// (tens of nodes), so the Jacobian is dense.
+/// (tens of nodes) and sparse: the Jacobian is assembled in coordinate form
+/// on its stamped pattern, and the Newton kernel (circuit/newton.hpp)
+/// factors it with a fill-reducing ordered sparse LU (linalg/ordered_lu.hpp).
 namespace gnrfet::circuit {
 
 /// Node handle; 0 is ground.
@@ -49,13 +52,49 @@ class Circuit {
   size_t state_size_ = 0;
 };
 
+/// One assembled MNA system in natural unknown order: the residual and
+/// the Jacobian in coordinate form on its stamped pattern — every position
+/// any assembly has written, in first-stamp order. The pattern only grows,
+/// so the Jacobian is zero off the pattern after every assembly.
+class MnaSystem {
+ public:
+  explicit MnaSystem(size_t n) : res_(n, 0.0), slot_(n * n, kNoSlot) {}
+
+  size_t size() const { return res_.size(); }
+  /// Zero the Jacobian values and the residual; the pattern is kept.
+  void clear();
+
+  /// d(res[row]) / d(x[col]) += g.
+  void add_jacobian(size_t row, size_t col, double g) {
+    uint32_t& slot = slot_[row * res_.size() + col];
+    if (slot == kNoSlot) {
+      slot = static_cast<uint32_t>(entries_.size());
+      entries_.emplace_back(row, col);
+      values_.push_back(0.0);
+    }
+    values_[slot] += g;
+  }
+  void add_residual(size_t row, double value) { res_[row] += value; }
+
+  const std::vector<double>& residual() const { return res_; }
+  /// Stamped (row, col) positions; values() holds the Jacobian on them.
+  const linalg::MatrixEntries& entries() const { return entries_; }
+  const std::vector<double>& values() const { return values_; }
+
+ private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  std::vector<double> res_;
+  std::vector<uint32_t> slot_;  ///< row * n + col -> index into entries_/values_
+  linalg::MatrixEntries entries_;
+  std::vector<double> values_;
+};
+
 /// Assembly facade passed to elements. Residuals follow the convention
 /// res[node] = sum of currents LEAVING the node (KCL: res = 0).
 class Stamper {
  public:
-  Stamper(const Circuit& ckt, const std::vector<double>& x, linalg::DMatrix& jac,
-          std::vector<double>& res)
-      : ckt_(ckt), x_(x), jac_(jac), res_(res) {}
+  Stamper(const Circuit& ckt, const std::vector<double>& x, MnaSystem& sys)
+      : ckt_(ckt), x_(x), sys_(sys) {}
 
   double v(NodeId n) const {
     const ptrdiff_t u = ckt_.unknown_of_node(n);
@@ -65,46 +104,44 @@ class Stamper {
 
   void add_residual(NodeId n, double current_out) {
     const ptrdiff_t u = ckt_.unknown_of_node(n);
-    if (u >= 0) res_[static_cast<size_t>(u)] += current_out;
+    if (u >= 0) sys_.add_residual(static_cast<size_t>(u), current_out);
   }
   void add_branch_residual(size_t branch, double value) {
-    res_[ckt_.unknown_of_branch(branch)] += value;
+    sys_.add_residual(ckt_.unknown_of_branch(branch), value);
   }
   /// d(res[n]) / d(v[m]).
   void add_jacobian(NodeId n, NodeId m, double g) {
     const ptrdiff_t r = ckt_.unknown_of_node(n);
     const ptrdiff_t c = ckt_.unknown_of_node(m);
-    if (r >= 0 && c >= 0) jac_(static_cast<size_t>(r), static_cast<size_t>(c)) += g;
+    if (r >= 0 && c >= 0) sys_.add_jacobian(static_cast<size_t>(r), static_cast<size_t>(c), g);
   }
   void add_jacobian_node_branch(NodeId n, size_t branch, double g) {
     const ptrdiff_t r = ckt_.unknown_of_node(n);
-    if (r >= 0) jac_(static_cast<size_t>(r), ckt_.unknown_of_branch(branch)) += g;
+    if (r >= 0) sys_.add_jacobian(static_cast<size_t>(r), ckt_.unknown_of_branch(branch), g);
   }
   void add_jacobian_branch_node(size_t branch, NodeId m, double g) {
     const ptrdiff_t c = ckt_.unknown_of_node(m);
-    if (c >= 0) jac_(ckt_.unknown_of_branch(branch), static_cast<size_t>(c)) += g;
+    if (c >= 0) sys_.add_jacobian(ckt_.unknown_of_branch(branch), static_cast<size_t>(c), g);
   }
   void add_jacobian_branch_branch(size_t branch_r, size_t branch_c, double g) {
-    jac_(ckt_.unknown_of_branch(branch_r), ckt_.unknown_of_branch(branch_c)) += g;
+    sys_.add_jacobian(ckt_.unknown_of_branch(branch_r), ckt_.unknown_of_branch(branch_c), g);
   }
 
  private:
   const Circuit& ckt_;
   const std::vector<double>& x_;
-  linalg::DMatrix& jac_;
-  std::vector<double>& res_;
+  MnaSystem& sys_;
 };
 
 /// Contract check of one assembled MNA system (subsystem "circuit"):
-/// every Jacobian and residual entry must be finite ("finite-stamp" — an
-/// inf/NaN stamp means a degenerate element, e.g. a zero-ohm resistor),
-/// and every voltage-source branch row must have at least one structural
-/// entry ("structural-rank" — an all-zero branch row is a source shorted
-/// to itself, which makes the matrix singular no matter the gmin). Node
-/// rows may float: the solvers regularize them with gmin by design.
-/// Compiled out under GNRFET_CHECKS=OFF.
-void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
-                     const std::vector<double>& res);
+/// every residual entry and every stamped Jacobian entry must be finite
+/// ("finite-stamp" — an inf/NaN stamp means a degenerate element, e.g. a
+/// zero-ohm resistor), and every voltage-source branch row must have at
+/// least one nonzero entry ("structural-rank" — an all-zero branch row is a
+/// source shorted to itself, which makes the matrix singular no matter the
+/// gmin). Node rows may float: the solvers regularize them with gmin by
+/// design. Compiled out under GNRFET_CHECKS=OFF.
+void check_mna_stamp(const Circuit& ckt, const MnaSystem& sys);
 
 /// Per-step context for charge-storage elements. dt <= 0 means DC (charge
 /// branches are open). `state_prev` holds each element's committed state

@@ -65,7 +65,7 @@ std::vector<double> RingOscillator::kick_state() const {
   // periods. A rail-to-rail initial guess would be too inconsistent for
   // the charge elements' quasi-Newton scheme.
   const DcResult dc = solve_dc(ckt);
-  std::vector<double> x = dc.converged ? dc.x : std::vector<double>(ckt.num_unknowns(), 0.0);
+  std::vector<double> x = dc.converged() ? dc.x : std::vector<double>(ckt.num_unknowns(), 0.0);
   const auto bump_node = [&](NodeId n, double dv) {
     const ptrdiff_t u = ckt.unknown_of_node(n);
     if (u >= 0) x[static_cast<size_t>(u)] += dv;

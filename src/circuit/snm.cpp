@@ -27,7 +27,7 @@ Vtc compute_vtc(const InverterModels& models, double vdd, int points) {
     const double v = vdd * static_cast<double>(i) / static_cast<double>(points - 1);
     in_ptr->set_dc(v);
     const DcResult dc = solve_dc(ckt, x);
-    if (!dc.converged) throw std::runtime_error("compute_vtc: DC did not converge");
+    if (!dc.converged()) throw std::runtime_error("compute_vtc: DC did not converge");
     x = dc.x;
     vtc.vin.push_back(v);
     vtc.vout.push_back(x[static_cast<size_t>(ckt.unknown_of_node(out))]);

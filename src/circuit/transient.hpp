@@ -26,10 +26,21 @@ struct Waveforms {
   std::vector<double> branch(const Circuit& ckt, size_t branch_index) const;
 };
 
+/// How a transient run ended: completed, no DC operating point to start
+/// from, or a time step whose Newton solve failed (singular Jacobian or
+/// iteration limit).
+enum class TransientStatus { kOk, kDcFailed, kNewtonFailed };
+
 struct TransientResult {
-  bool ok = false;
-  Waveforms waves;
+  TransientStatus status = TransientStatus::kOk;
+  double failed_at_s = 0.0;  ///< time of the failing step (kNewtonFailed)
+  Waveforms waves;           ///< accepted steps up to the failure
+
+  bool ok() const { return status == TransientStatus::kOk; }
 };
+
+/// A failed run increments the metrics counter of its status
+/// (transient_dc_failed / transient_newton_failed).
 
 TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts);
 

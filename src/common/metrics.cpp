@@ -74,8 +74,12 @@ const char* kCounterNames[kNumCounters] = {
     "table_service_hits", "table_service_misses", "table_service_evictions",
     "table_service_coalesced",
     "table_shard_dispatches", "table_shard_retries",
+    "table_bias_not_converged",
     "mna_factorizations",
     "transient_steps",
+    "dc_singular", "dc_not_converged",
+    "transient_dc_failed", "transient_newton_failed",
+    "ring_horizon_retries", "ring_too_few_crossings",
 };
 
 const char* kHistogramNames[kNumHistograms] = {

@@ -40,8 +40,15 @@ enum class Counter {
   kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
   kTableShardDispatches,      ///< service: table-column shards sent to worker processes
   kTableShardRetries,         ///< service: shards re-dispatched after a worker died mid-shard
-  kMnaFactorizations,         ///< circuit: dense LU factorizations of the MNA Jacobian
+  kTableBiasNotConverged,     ///< device: table bias points stored at the Gummel iteration limit
+  kMnaFactorizations,         ///< circuit: LU factorizations of the MNA Jacobian
   kTransientSteps,            ///< circuit: accepted transient time steps
+  kDcSingular,                ///< circuit: DC solves ended by a singular MNA Jacobian
+  kDcNotConverged,            ///< circuit: DC solves ended at the Newton iteration limit
+  kTransientDcFailed,         ///< circuit: transients without a DC operating point
+  kTransientNewtonFailed,     ///< circuit: transients stopped by a failed time step
+  kRingHorizonRetries,        ///< circuit: ring measurements re-run over a 4x horizon
+  kRingTooFewCrossings,       ///< circuit: rings with < 3 crossings after the retry
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);

@@ -235,6 +235,7 @@ TableColumnResult solve_table_column(const SelfConsistentSolver& solver,
     DeviceSolution sol = solver.solve({vg[ig], vd}, &prev, ctx);
     col.current_A[ig - 1] = sol.current_A;
     col.charge_C[ig - 1] = -constants::kElementaryCharge * sol.net_electrons;
+    if (!sol.converged) ++col.not_converged;
     prev = std::move(sol);
   }
   return col;
@@ -270,9 +271,11 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   // thread or worker count.
   const size_t nvd = table.vd.size();
   TableHeadRow row = solve_table_heads(solver, table.vg, table.vd, opts);
+  std::vector<size_t> not_converged(nvd, 0);
   for (size_t id = 0; id < nvd; ++id) {
     table.current_A[id] = row.heads[id].current_A;
     table.charge_C[id] = -constants::kElementaryCharge * row.heads[id].net_electrons;
+    if (!row.heads[id].converged) ++not_converged[id];
   }
   par::parallel_for(nvd, [&](size_t id) {
     negf::TransportContext col_ctx;
@@ -285,7 +288,10 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
       table.current_A[idx] = col.current_A[ig - 1];
       table.charge_C[idx] = col.charge_C[ig - 1];
     }
+    not_converged[id] += col.not_converged;
   });
+  for (const size_t c : not_converged) table.gummel_not_converged += c;
+  metrics::add(metrics::Counter::kTableBiasNotConverged, table.gummel_not_converged);
 
   validate_table(table, "generate_device_table");
   if (opts.use_cache) save_table(table, path, payload);

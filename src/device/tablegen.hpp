@@ -18,6 +18,10 @@ struct DeviceTable {
   std::vector<double> current_A; ///< row-major [ivg * nvd + ivd]
   std::vector<double> charge_C;  ///< channel charge, same layout
   double band_gap_eV = 0.0;
+  /// Bias points whose self-consistent solve stopped at
+  /// max_gummel_iterations without converging. In memory only: the cache
+  /// file does not carry it, so a table loaded from the cache reads 0.
+  size_t gummel_not_converged = 0;
 
   double at_current(size_t ivg, size_t ivd) const { return current_A[ivg * vd.size() + ivd]; }
   double at_charge(size_t ivg, size_t ivd) const { return charge_C[ivg * vd.size() + ivd]; }
@@ -62,6 +66,7 @@ struct TableHeadRow {
 struct TableColumnResult {
   std::vector<double> current_A;  ///< [ig - 1] for ig in 1..nvg-1
   std::vector<double> charge_C;
+  size_t not_converged = 0;       ///< chain points that hit max_gummel_iterations
 };
 
 /// Solve the serial head row (phase 1). Exposed so the shard scheduler
@@ -79,7 +84,10 @@ TableColumnResult solve_table_column(const SelfConsistentSolver& solver,
                                      const DeviceSolution& head, negf::TransportContext* ctx);
 
 /// Generate (or load from cache) the device table. Generation walks the
-/// bias grid warm-starting each point from its neighbour.
+/// bias grid warm-starting each point from its neighbour. Points that end
+/// without Gummel convergence are kept, counted in
+/// DeviceTable::gummel_not_converged and in the table_bias_not_converged
+/// metrics counter.
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts = {});
 
 /// Serialization helpers (exposed for tests).

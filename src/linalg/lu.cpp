@@ -6,7 +6,6 @@
 namespace gnrfet::linalg {
 
 namespace {
-constexpr double kPivotFloor = 1e-300;
 
 template <typename T>
 void factor_in_place(Matrix<T>& a, std::vector<size_t>& perm, int* sign) {
@@ -24,7 +23,7 @@ void factor_in_place(Matrix<T>& a, std::vector<size_t>& perm, int* sign) {
         piv = i;
       }
     }
-    if (best < kPivotFloor) throw std::runtime_error("LU: singular matrix");
+    if (best < kLuPivotFloor) throw std::runtime_error("LU: singular matrix");
     if (piv != k) {
       for (size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
       std::swap(perm[k], perm[piv]);

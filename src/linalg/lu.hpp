@@ -7,6 +7,10 @@
 /// solves on blocks of dimension up to ~2N).
 namespace gnrfet::linalg {
 
+/// Absolute pivot floor: a pivot column whose largest candidate is below it
+/// makes the factorization report a singular matrix.
+inline constexpr double kLuPivotFloor = 1e-300;
+
 /// In-place LU decomposition holder. Throws std::runtime_error on a
 /// numerically singular pivot (|pivot| below an absolute floor).
 class LU {
@@ -45,8 +49,9 @@ class LU {
 /// Convenience: matrix inverse via LU. Throws on singular input.
 CMatrix inverse(const CMatrix& a);
 
-/// Real-valued variants (used by the compact CMOS model calibration and the
-/// circuit simulator's Newton solves).
+/// Real-valued variant: the multigrid coarse-grid solve, and the dense
+/// reference the tests hold linalg::OrderedLU (the circuit simulator's
+/// Newton solves) against.
 class LUReal {
  public:
   explicit LUReal(DMatrix a);

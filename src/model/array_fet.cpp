@@ -4,11 +4,17 @@
 
 namespace gnrfet::model {
 
-ArrayFet::ArrayFet(std::vector<IntrinsicFet> channels) : channels_(std::move(channels)) {
-  if (channels_.empty()) throw std::invalid_argument("ArrayFet: need >= 1 channel");
-  for (const auto& c : channels_) {
-    if (c.polarity() != channels_.front().polarity()) {
+ArrayFet::ArrayFet(std::vector<IntrinsicFet> channels) : size_(channels.size()) {
+  if (channels.empty()) throw std::invalid_argument("ArrayFet: need >= 1 channel");
+  const Polarity polarity = channels.front().polarity();
+  for (auto& c : channels) {
+    if (c.polarity() != polarity) {
       throw std::invalid_argument("ArrayFet: mixed polarities in one array");
+    }
+    if (!runs_.empty() && runs_.back().channel.same_model(c)) {
+      ++runs_.back().count;
+    } else {
+      runs_.push_back({std::move(c), 1});
     }
   }
 }
@@ -30,27 +36,26 @@ ArrayFet ArrayFet::with_variants(const IntrinsicFet& nominal, const IntrinsicFet
 }
 
 namespace {
-FetSample sum(const std::vector<IntrinsicFet>& channels, bool want_current, double vgs,
-              double vds) {
+template <typename Run>
+FetSample sum(const std::vector<Run>& runs, bool want_current, double vgs, double vds) {
   FetSample total;
-  for (const auto& c : channels) {
-    const FetSample s = want_current ? c.current(vgs, vds) : c.charge(vgs, vds);
-    total.value += s.value;
-    total.d_dvgs += s.d_dvgs;
-    total.d_dvds += s.d_dvds;
+  for (const auto& run : runs) {
+    const FetSample s =
+        want_current ? run.channel.current(vgs, vds) : run.channel.charge(vgs, vds);
+    for (size_t k = 0; k < run.count; ++k) {
+      total.value += s.value;
+      total.d_dvgs += s.d_dvgs;
+      total.d_dvds += s.d_dvds;
+    }
   }
   return total;
 }
 }  // namespace
 
-FetSample ArrayFet::current(double vgs, double vds) const {
-  return sum(channels_, true, vgs, vds);
-}
+FetSample ArrayFet::current(double vgs, double vds) const { return sum(runs_, true, vgs, vds); }
 
-FetSample ArrayFet::charge(double vgs, double vds) const {
-  return sum(channels_, false, vgs, vds);
-}
+FetSample ArrayFet::charge(double vgs, double vds) const { return sum(runs_, false, vgs, vds); }
 
-Polarity ArrayFet::polarity() const { return channels_.front().polarity(); }
+Polarity ArrayFet::polarity() const { return runs_.front().channel.polarity(); }
 
 }  // namespace gnrfet::model

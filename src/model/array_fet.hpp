@@ -23,13 +23,22 @@ class ArrayFet final : public ChannelModel {
   static ArrayFet with_variants(const IntrinsicFet& nominal, const IntrinsicFet& variant,
                                 int count, int affected);
 
+  /// Sums over the channels in array order. Each run of consecutive
+  /// identical channels (IntrinsicFet::same_model) is evaluated once and
+  /// its sample added once per channel, which is bit-identical to
+  /// evaluating every channel.
   FetSample current(double vgs, double vds) const override;
   FetSample charge(double vgs, double vds) const override;
   Polarity polarity() const override;
-  size_t size() const { return channels_.size(); }
+  size_t size() const { return size_; }
 
  private:
-  std::vector<IntrinsicFet> channels_;
+  struct Run {
+    IntrinsicFet channel;
+    size_t count;
+  };
+  std::vector<Run> runs_;
+  size_t size_ = 0;
 };
 
 }  // namespace gnrfet::model

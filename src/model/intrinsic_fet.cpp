@@ -1,5 +1,8 @@
 #include "model/intrinsic_fet.hpp"
 
+#include <bit>
+#include <cstdint>
+
 namespace gnrfet::model {
 
 FetTables make_fet_tables(const device::DeviceTable& table) {
@@ -21,6 +24,12 @@ IntrinsicFet IntrinsicFet::from_device_table(const device::DeviceTable& table,
                                              Polarity polarity, double offset_V) {
   const FetTables t = make_fet_tables(table);
   return IntrinsicFet(t.current_A, t.charge_C, polarity, offset_V);
+}
+
+bool IntrinsicFet::same_model(const IntrinsicFet& other) const {
+  return current_ == other.current_ && charge_ == other.charge_ &&
+         polarity_ == other.polarity_ &&
+         std::bit_cast<uint64_t>(offset_) == std::bit_cast<uint64_t>(other.offset_);
 }
 
 FetSample IntrinsicFet::eval(const Table2D& t, double vgs, double vds,

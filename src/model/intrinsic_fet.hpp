@@ -41,6 +41,10 @@ class IntrinsicFet {
   Polarity polarity() const { return polarity_; }
   double offset_V() const { return offset_; }
 
+  /// Same tables (by identity), polarity and offset bits: the two channels
+  /// evaluate bit-identically at every bias.
+  bool same_model(const IntrinsicFet& other) const;
+
  private:
   FetSample eval(const Table2D& t, double vgs, double vds, bool antisymmetric_value) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -40,34 +39,42 @@ void check_axis(const std::vector<double>& axis, const char* name) {
 }  // namespace
 
 Table2D::Table2D(std::vector<double> xs, std::vector<double> ys, std::vector<double> values)
-    : xs_(std::move(xs)), ys_(std::move(ys)), v_(std::move(values)) {
+    : xs_(std::move(xs)), ys_(std::move(ys)) {
   check_axis(xs_, "x");
   check_axis(ys_, "y");
-  if (v_.size() != xs_.size() * ys_.size()) {
+  if (values.size() != xs_.size() * ys_.size()) {
     throw std::invalid_argument("Table2D: value count mismatch");
   }
-  GNRFET_REQUIRE("model", "finite-table", contracts::all_finite(v_),
+  GNRFET_REQUIRE("model", "finite-table", contracts::all_finite(values),
                  "interpolation table contains NaN/inf values");
   dx_ = xs_[1] - xs_[0];
   dy_ = ys_[1] - ys_[0];
-}
 
-double Table2D::at(ptrdiff_t ix, ptrdiff_t iy) const {
   // Linearly extended ghost points preserve the boundary slope of the
   // Catmull-Rom patches (clamped ghosts would halve the edge gradient,
-  // distorting the FET-table extrapolation region).
-  const ptrdiff_t nx = static_cast<ptrdiff_t>(xs_.size());
-  const ptrdiff_t ny = static_cast<ptrdiff_t>(ys_.size());
-  // v(-1) = 2 v(0) - v(1) and v(n) = 2 v(n-1) - v(n-2), per axis.
-  const std::function<double(ptrdiff_t, ptrdiff_t)> sample = [&](ptrdiff_t i,
-                                                                 ptrdiff_t j) -> double {
-    if (i < 0) return 2.0 * sample(0, j) - sample(-i, j);
-    if (i >= nx) return 2.0 * sample(nx - 1, j) - sample(2 * (nx - 1) - i, j);
-    if (j < 0) return 2.0 * sample(i, 0) - sample(i, -j);
-    if (j >= ny) return 2.0 * sample(i, ny - 1) - sample(i, 2 * (ny - 1) - j);
-    return v_[static_cast<size_t>(i) * ys_.size() + static_cast<size_t>(j)];
-  };
-  return sample(ix, iy);
+  // distorting the FET-table extrapolation region):
+  // v(-1) = 2 v(0) - v(1) and v(n) = 2 v(n-1) - v(n-2), along y first on
+  // every grid row, then along x on every padded column (the corners
+  // extend the y ghosts).
+  const size_t nx = xs_.size(), ny = ys_.size(), stride = ny + 2;
+  padded_.assign((nx + 2) * stride, 0.0);
+  for (size_t i = 0; i < nx; ++i) {
+    const double* src = &values[i * ny];
+    double* row = &padded_[(i + 1) * stride];
+    std::copy(src, src + ny, row + 1);
+    row[0] = 2.0 * src[0] - src[1];
+    row[ny + 1] = 2.0 * src[ny - 1] - src[ny - 2];
+  }
+  double* first = &padded_[0];
+  const double* second = first + stride;
+  const double* third = second + stride;
+  double* last = &padded_[(nx + 1) * stride];
+  const double* inner = last - stride;
+  const double* inner2 = inner - stride;
+  for (size_t j = 0; j < stride; ++j) {
+    first[j] = 2.0 * second[j] - third[j];
+    last[j] = 2.0 * inner[j] - inner2[j];
+  }
 }
 
 TableSample Table2D::sample(double x, double y) const {
@@ -85,11 +92,13 @@ TableSample Table2D::sample(double x, double y) const {
   const double tx = gx - static_cast<double>(ix);
   const double ty = gy - static_cast<double>(iy);
 
-  // Interpolate along y for the 4 x-rows, tracking d/dy.
+  // Interpolate along y for the 4 x-rows, tracking d/dy. Stencil rows
+  // ix-1..ix+2 and columns iy-1..iy+2 start at padded (ix, iy).
+  const size_t stride = ys_.size() + 2;
+  const double* p = &padded_[static_cast<size_t>(ix) * stride + static_cast<size_t>(iy)];
   double row_v[4], row_dy[4];
-  for (int r = 0; r < 4; ++r) {
-    const ptrdiff_t rx = ix - 1 + r;
-    const Cubic c = catmull_rom(at(rx, iy - 1), at(rx, iy), at(rx, iy + 1), at(rx, iy + 2), ty);
+  for (int r = 0; r < 4; ++r, p += stride) {
+    const Cubic c = catmull_rom(p[0], p[1], p[2], p[3], ty);
     row_v[r] = c.value;
     row_dy[r] = c.deriv / dy_;
   }

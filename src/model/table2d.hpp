@@ -6,7 +6,9 @@
 /// Smooth 2D lookup table (Catmull-Rom bicubic) for the circuit-level
 /// device models. Smooth first derivatives are required by the circuit
 /// simulator's Newton iterations and by the capacitance extraction
-/// C = |dQ/dV| of Sec. 3.
+/// C = |dQ/dV| of Sec. 3. The constructor pads the grid with one ring of
+/// linearly extended ghost points, so a sample reads its 4 x 4 stencil
+/// from contiguous rows with no boundary branches.
 namespace gnrfet::model {
 
 struct TableSample {
@@ -30,9 +32,11 @@ class Table2D {
   double y_max() const { return ys_.back(); }
 
  private:
-  std::vector<double> xs_, ys_, v_;
+  std::vector<double> xs_, ys_;
+  /// (nx + 2) x (ny + 2) row-major: grid point (ix, iy) at
+  /// [(ix + 1) * (ny + 2) + iy + 1], ghosts in the outer ring.
+  std::vector<double> padded_;
   double dx_ = 0.0, dy_ = 0.0;
-  double at(ptrdiff_t ix, ptrdiff_t iy) const;  // clamped access
 };
 
 }  // namespace gnrfet::model

@@ -169,6 +169,7 @@ device::DeviceTable ShardScheduler::generate(const device::DeviceSpec& spec,
   }
   if (opts.use_cache) metrics::add(metrics::Counter::kTableCacheMisses);
   device::DeviceTable table = generate_uncached(spec, opts);
+  metrics::add(metrics::Counter::kTableBiasNotConverged, table.gummel_not_converged);
   if (opts.use_cache) device::save_table(table, path, payload);
   return table;
 }
@@ -210,6 +211,7 @@ device::DeviceTable ShardScheduler::generate_uncached(const device::DeviceSpec& 
   for (size_t id = 0; id < nvd; ++id) {
     table.current_A[id] = row.heads[id].current_A;
     table.charge_C[id] = -constants::kElementaryCharge * row.heads[id].net_electrons;
+    if (!row.heads[id].converged) ++table.gummel_not_converged;
   }
   if (nvg <= 1) return table;
 
@@ -301,6 +303,7 @@ device::DeviceTable ShardScheduler::generate_uncached(const device::DeviceSpec& 
         const size_t col = static_cast<size_t>(r.u64());
         const std::vector<double> current = r.vec_f64();
         const std::vector<double> charge = r.vec_f64();
+        table.gummel_not_converged += static_cast<size_t>(r.u64());
         GNRFET_ENSURE("service/shardgen", "shard-result-shape",
                       col < nvd && col == slot_col[i] && current.size() == nvg - 1 &&
                           charge.size() == nvg - 1,
@@ -378,6 +381,7 @@ int shard_worker_main(int request_fd, int response_fd) {
       out.u64(column);
       out.vec_f64(col.current_A);
       out.vec_f64(col.charge_C);
+      out.u64(col.not_converged);
     } catch (const std::exception& e) {
       out = sp::FrameWriter();
       out.u8(kShardError);

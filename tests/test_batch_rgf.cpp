@@ -176,7 +176,7 @@ TEST(BatchRgf, ReverseTransmissionContract) {
   negf::ScalarRgfBatchWorkspace ws;
   negf::ScalarRgfBatchResult out;
   negf::scalar_rgf_solve_batch(chain, e.data(), e.size(), 1e-4, ws, out);
-  size_t bitwise_diffs = 0;
+  [[maybe_unused]] size_t bitwise_diffs = 0;  // read only with checks compiled in
   for (size_t k = 0; k < e.size(); ++k) {
     const auto ref = negf::scalar_rgf_solve(chain, e[k], 1e-4);
     EXPECT_BITS_EQ(out.transmission_reverse[k], ref.transmission_reverse);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/measure.hpp"
 #include "circuit/snm.hpp"
+#include "common/metrics.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/ordered_lu.hpp"
 #include "synthetic_device.hpp"
 
 namespace {
@@ -22,6 +26,127 @@ InverterModels synthetic_inverter(double offset = 0.12) {
   return m;
 }
 
+uint64_t counter(metrics::Counter c) {
+  return metrics::snapshot().counters[static_cast<size_t>(c)];
+}
+
+/// Two sources forcing one node: equal branch rows, so the Jacobian is
+/// singular while every branch row still has a nonzero (the structural
+/// contract passes and the failure must come from the factorization).
+Circuit parallel_sources() {
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, 1.0));
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, 2.0));
+  ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
+  return ckt;
+}
+
+TEST(Dc, SingularJacobianReportsSingularStatus) {
+  const Circuit ckt = parallel_sources();
+  const uint64_t before = counter(metrics::Counter::kDcSingular);
+  const DcResult dc = solve_dc(ckt);
+  EXPECT_FALSE(dc.converged());
+  EXPECT_EQ(dc.status, DcStatus::kSingular);
+  EXPECT_EQ(counter(metrics::Counter::kDcSingular), before + 1);
+}
+
+TEST(Dc, IterationLimitReportsNotConverged) {
+  Circuit ckt;
+  const NodeId vdd = ckt.new_node("vdd"), in = ckt.new_node("in"), out = ckt.new_node("out");
+  ckt.add(std::make_unique<VoltageSource>(vdd, kGround, 0.4));
+  ckt.add(std::make_unique<VoltageSource>(in, kGround, 0.2));
+  add_inverter(ckt, synthetic_inverter(), in, out, vdd);
+  DcOptions opts;
+  opts.max_iterations = 1;
+  const uint64_t before = counter(metrics::Counter::kDcNotConverged);
+  const DcResult dc = solve_dc(ckt, {}, opts);
+  EXPECT_EQ(dc.status, DcStatus::kNotConverged);
+  EXPECT_EQ(counter(metrics::Counter::kDcNotConverged), before + 1);
+  opts.max_iterations = 200;
+  EXPECT_EQ(solve_dc(ckt, {}, opts).status, DcStatus::kConverged);
+}
+
+/// Assembles `ckt` at x like one Newton iteration does (stamps, then the
+/// 1e-12 gmin on node diagonals) and checks that the ordered sparse LU
+/// solves the system like the dense LUReal oracle.
+void expect_ordered_lu_matches_dense(const Circuit& ckt, const std::vector<double>& x,
+                                     const TransientContext& ctx) {
+  const size_t n = ckt.num_unknowns();
+  MnaSystem sys(n);
+  Stamper st(ckt, x, sys);
+  for (const auto& e : ckt.elements()) e->stamp(st, ctx);
+  check_mna_stamp(ckt, sys);
+  for (size_t i = 0; i + ckt.num_branches() < n; ++i) sys.add_jacobian(i, i, 1e-12);
+  linalg::OrderedLU lu(n, sys.entries());
+  ASSERT_TRUE(lu.factor(sys.values()));
+  std::vector<double> rhs(n), dx;
+  for (size_t i = 0; i < n; ++i) rhs[i] = -sys.residual()[i];
+  lu.solve(rhs, dx);
+  linalg::DMatrix dense(n, n);
+  for (size_t s = 0; s < sys.entries().size(); ++s) {
+    dense(sys.entries()[s].first, sys.entries()[s].second) = sys.values()[s];
+  }
+  const std::vector<double> ref = linalg::LUReal(dense).solve(rhs);
+  double scale = 0.0;
+  for (const double v : ref) scale = std::max(scale, std::abs(v));
+  ASSERT_GT(scale, 0.0);
+  for (size_t i = 0; i < n; ++i) EXPECT_NEAR(dx[i], ref[i], 1e-10 * scale) << "unknown " << i;
+}
+
+TEST(Transient, OrderedLuMatchesDenseLuOnRingAndFo4Jacobians) {
+  const InverterModels inv = synthetic_inverter();
+  const RingOscillator ring = build_ring_oscillator(std::vector<InverterModels>(15, inv), inv, 0.4);
+  const Fo4Testbench fo4 =
+      build_fo4_inverter(inv, inv, 0.4, pulse_waveform(0.0, 0.4, 5e-12, 2e-12));
+  const DcResult fo4_dc = solve_dc(fo4.ckt);
+  ASSERT_TRUE(fo4_dc.converged());
+  for (const auto& [ckt, x] :
+       {std::pair<const Circuit*, std::vector<double>>{&ring.ckt, ring.kick_state()},
+        std::pair<const Circuit*, std::vector<double>>{&fo4.ckt, fo4_dc.x}}) {
+    TransientContext dc_ctx;
+    expect_ordered_lu_matches_dense(*ckt, x, dc_ctx);
+    std::vector<double> state(ckt->state_size(), 0.0), state_next(state.size(), 0.0);
+    for (const auto& e : ckt->elements()) e->init_state(*ckt, x, state);
+    TransientContext tr_ctx;
+    tr_ctx.time = 6e-12;
+    tr_ctx.dt = 0.5e-12;
+    tr_ctx.state_prev = &state;
+    tr_ctx.state_next = &state_next;
+    std::vector<double> moved = x;
+    for (size_t i = 0; i < moved.size(); i += 3) moved[i] += 0.01;  // off the DC point
+    expect_ordered_lu_matches_dense(*ckt, moved, tr_ctx);
+  }
+}
+
+TEST(Transient, NewtonFailureReportsStepTime) {
+  Circuit ckt;
+  const NodeId in = ckt.new_node();
+  const NodeId out = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(in, kGround, pulse_waveform(0.0, 1.0, 0.0, 1e-12)));
+  ckt.add(std::make_unique<Resistor>(in, out, 10e3));
+  ckt.add(std::make_unique<Capacitor>(out, kGround, 1e-15));
+  TransientOptions opts;
+  opts.t_stop = 5e-12;
+  opts.dt = 0.5e-12;
+  opts.max_newton_iterations = 1;  // the first step moves the source: one update never settles
+  const uint64_t before = counter(metrics::Counter::kTransientNewtonFailed);
+  const TransientResult tr = run_transient(ckt, opts);
+  EXPECT_EQ(tr.status, TransientStatus::kNewtonFailed);
+  EXPECT_EQ(tr.failed_at_s, opts.dt);
+  EXPECT_EQ(tr.waves.time.size(), 1u);  // only the DC point was accepted
+  EXPECT_EQ(counter(metrics::Counter::kTransientNewtonFailed), before + 1);
+}
+
+TEST(Transient, MissingDcPointReportsDcFailed) {
+  const Circuit ckt = parallel_sources();
+  const uint64_t before = counter(metrics::Counter::kTransientDcFailed);
+  const TransientResult tr = run_transient(ckt, TransientOptions{});
+  EXPECT_EQ(tr.status, TransientStatus::kDcFailed);
+  EXPECT_FALSE(tr.ok());
+  EXPECT_EQ(counter(metrics::Counter::kTransientDcFailed), before + 1);
+}
+
 TEST(Dc, ResistorDivider) {
   Circuit ckt;
   const NodeId a = ckt.new_node();
@@ -30,7 +155,7 @@ TEST(Dc, ResistorDivider) {
   ckt.add(std::make_unique<Resistor>(a, b, 1000.0));
   ckt.add(std::make_unique<Resistor>(b, kGround, 3000.0));
   const DcResult dc = solve_dc(ckt);
-  ASSERT_TRUE(dc.converged);
+  ASSERT_TRUE(dc.converged());
   EXPECT_NEAR(dc.x[static_cast<size_t>(ckt.unknown_of_node(b))], 0.75, 1e-9);
 }
 
@@ -42,7 +167,7 @@ TEST(Dc, VoltageSourceBranchCurrentSign) {
   ckt.add(std::move(src));
   ckt.add(std::make_unique<Resistor>(a, kGround, 1000.0));
   const DcResult dc = solve_dc(ckt);
-  ASSERT_TRUE(dc.converged);
+  ASSERT_TRUE(dc.converged());
   // Load draws 2 mA from the supply: branch current (p->m through the
   // source) is -2 mA, so delivered power is -V*i = +4 mW.
   EXPECT_NEAR(dc.x[ckt.unknown_of_branch(branch)], -2e-3, 1e-9);
@@ -60,7 +185,7 @@ TEST(Transient, RcStepResponseMatchesAnalytic) {
   opts.t_stop = 60e-12;
   opts.dt = 0.05e-12;
   const TransientResult tr = run_transient(ckt, opts);
-  ASSERT_TRUE(tr.ok);
+  ASSERT_TRUE(tr.ok());
   const auto v = tr.waves.node(ckt, out);
   for (size_t i = 0; i < tr.waves.time.size(); i += 100) {
     const double t = tr.waves.time[i] - 5e-12;
@@ -80,7 +205,7 @@ TEST(Transient, CapacitorBlocksDc) {
   opts.t_stop = 50e-12;
   opts.dt = 0.5e-12;
   const TransientResult tr = run_transient(ckt, opts);
-  ASSERT_TRUE(tr.ok);
+  ASSERT_TRUE(tr.ok());
   // Started from DC: the capacitor is already charged, nothing moves.
   const auto v = tr.waves.node(ckt, b);
   EXPECT_NEAR(v.back(), 1.0, 1e-6);
@@ -176,6 +301,42 @@ TEST(Measure, RingOscillatorOscillates) {
   EXPECT_GT(m.edp_Js, 0.0);
 }
 
+TEST(Measure, SlowRingIsRetriedOverFourTimesTheHorizon) {
+  const InverterModels inv = synthetic_inverter();
+  const std::vector<InverterModels> stages(15, inv);
+  RingMeasureOptions opts;
+  opts.vdd = 0.4;
+  opts.dt_s = 0.5e-12;
+  opts.t_stop_s = 0.3e-9;  // one rising crossing; 4x the horizon gives 3+
+  const uint64_t retries = counter(metrics::Counter::kRingHorizonRetries);
+  const RingMetrics m = measure_ring_oscillator(stages, inv, opts);
+  ASSERT_TRUE(m.ok);
+  EXPECT_EQ(m.failure, RingFailure::kNone);
+  EXPECT_EQ(counter(metrics::Counter::kRingHorizonRetries), retries + 1);
+  // The retry is exactly a run over the 4x horizon.
+  RingMeasureOptions longer = opts;
+  longer.t_stop_s = 4.0 * opts.t_stop_s;
+  const RingMetrics direct = measure_ring_oscillator(stages, inv, longer);
+  ASSERT_TRUE(direct.ok);
+  EXPECT_EQ(m.frequency_Hz, direct.frequency_Hz);
+  EXPECT_EQ(m.edp_Js, direct.edp_Js);
+  EXPECT_EQ(m.dynamic_power_W, direct.dynamic_power_W);
+}
+
+TEST(Measure, RingWithTooFewCrossingsReportsReason) {
+  const InverterModels inv = synthetic_inverter();
+  RingMeasureOptions opts;
+  opts.vdd = 0.4;
+  opts.dt_s = 0.5e-12;
+  opts.t_stop_s = 10e-12;  // 4x is still far below one period
+  const uint64_t gave_up = counter(metrics::Counter::kRingTooFewCrossings);
+  const RingMetrics m = measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, opts);
+  EXPECT_FALSE(m.ok);
+  EXPECT_EQ(m.failure, RingFailure::kTooFewCrossings);
+  EXPECT_EQ(m.frequency_Hz, 0.0);
+  EXPECT_EQ(counter(metrics::Counter::kRingTooFewCrossings), gave_up + 1);
+}
+
 TEST(Latch, IsBistable) {
   const InverterModels inv = synthetic_inverter();
   Latch latch = build_latch(inv, inv, 0.4);
@@ -187,8 +348,8 @@ TEST(Latch, IsBistable) {
   seed_b[static_cast<size_t>(latch.ckt.unknown_of_node(latch.qb))] = 0.4;
   const DcResult a = solve_dc(latch.ckt, seed_a);
   const DcResult b = solve_dc(latch.ckt, seed_b);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
+  ASSERT_TRUE(a.converged());
+  ASSERT_TRUE(b.converged());
   // Two distinct stable states near the rails (which seed lands on which
   // state is solver-dependent; bistability is what matters).
   const double qa = a.x[static_cast<size_t>(latch.ckt.unknown_of_node(latch.q))];

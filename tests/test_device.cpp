@@ -499,6 +499,30 @@ TEST(TableGen, TinyEndToEndGeneration) {
   EXPECT_GT(t.at_current(1, 1), 0.0);
   // On state holds electrons: negative channel charge at high VG.
   EXPECT_LT(t.at_charge(1, 1), 0.0);
+  EXPECT_EQ(t.gummel_not_converged, 0u);
+}
+
+TEST(TableGen, CountsBiasPointsStoppedAtGummelLimit) {
+  // One Gummel iteration cannot converge a cold start: the point is still
+  // stored, and the table and the metrics counter both count it.
+  TableGenOptions opts;
+  opts.vg_points = 2;
+  opts.vd_points = 2;
+  opts.vg_max = 0.5;
+  opts.vd_max = 0.5;
+  opts.solve = fast_opts();
+  opts.solve.max_gummel_iterations = 1;
+  opts.use_cache = false;
+  const auto counted = [] {
+    return metrics::snapshot()
+        .counters[static_cast<size_t>(metrics::Counter::kTableBiasNotConverged)];
+  };
+  const uint64_t before = counted();
+  const DeviceTable t = generate_device_table(tiny_spec(), opts);
+  EXPECT_GE(t.gummel_not_converged, 1u);
+  EXPECT_LE(t.gummel_not_converged, 4u);
+  EXPECT_EQ(counted() - before, t.gummel_not_converged);
+  EXPECT_EQ(t.current_A.size(), 4u);
 }
 
 }  // namespace

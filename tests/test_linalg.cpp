@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -8,6 +10,7 @@
 #include "linalg/eig.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/ordered_lu.hpp"
 #include "linalg/pcg.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/sparse.hpp"
@@ -105,6 +108,143 @@ TEST(LU, RealSolve) {
   EXPECT_NEAR(4 * x[0] + x[1], 1.0, 1e-12);
   EXPECT_NEAR(x[0] + 3 * x[1], 2.0, 1e-12);
   EXPECT_NEAR(2 * x[2], 4.0, 1e-12);
+}
+
+/// MNA-shaped random system: `nodes` node rows with a sparse, unsymmetric
+/// conductance block (diagonal dominance varied over decades, like contact
+/// resistances next to gmin-only nodes), then `branches` voltage-source
+/// rows with a zero diagonal coupling one or two nodes.
+struct MnaLike {
+  DMatrix a;
+  gnrfet::linalg::MatrixEntries pattern;
+};
+
+MnaLike random_mna_like(size_t nodes, size_t branches, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::uniform_int_distribution<size_t> pick(0, nodes - 1);
+  const size_t n = nodes + branches;
+  MnaLike m{DMatrix(n, n), {}};
+  const auto add = [&](size_t r, size_t c, double v) {
+    if (m.a(r, c) == 0.0) m.pattern.emplace_back(r, c);
+    m.a(r, c) += v;
+  };
+  for (size_t i = 0; i < nodes; ++i) add(i, i, 1e-12);  // gmin
+  for (size_t e = 0; e < 2 * nodes; ++e) {
+    const size_t a = pick(rng), b = pick(rng);
+    if (a == b) continue;
+    const double g = std::pow(10.0, -5.0 + 4.0 * u(rng));
+    add(a, a, g);
+    add(b, b, g);
+    add(a, b, -g);
+    add(b, a, -g);
+    if (u(rng) < 0.3) add(a, b, 0.5 * g * (u(rng) - 0.5));  // transconductance
+  }
+  for (size_t k = 0; k < branches; ++k) {
+    const size_t row = nodes + k;
+    const size_t p = pick(rng);
+    add(p, row, 1.0);
+    add(row, p, 1.0);
+    const size_t q = pick(rng);
+    if (q != p && u(rng) < 0.5) {
+      add(q, row, -1.0);
+      add(row, q, -1.0);
+    }
+  }
+  return m;
+}
+
+std::vector<double> values_on(const DMatrix& a, const gnrfet::linalg::MatrixEntries& entries) {
+  std::vector<double> v;
+  for (const auto& [r, c] : entries) v.push_back(a(r, c));
+  return v;
+}
+
+std::vector<double> solve_ordered(const MnaLike& m, const std::vector<double>& b) {
+  gnrfet::linalg::OrderedLU lu(m.a.rows(), m.pattern);
+  EXPECT_TRUE(lu.factor(values_on(m.a, m.pattern)));
+  std::vector<double> x;
+  lu.solve(b, x);
+  return x;
+}
+
+TEST(OrderedLU, MatchesDenseLuOnRandomMnaShapedSystems) {
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    const size_t nodes = 6 + 7 * seed, branches = 1 + seed % 3;
+    const MnaLike m = random_mna_like(nodes, branches, seed);
+    const size_t n = nodes + branches;
+    std::vector<double> b(n);
+    std::mt19937 rng(100 + seed);
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    for (double& v : b) v = d(rng);
+    const std::vector<double> ref = gnrfet::linalg::LUReal(m.a).solve(b);
+    double scale = 0.0;
+    for (const double v : ref) scale = std::max(scale, std::abs(v));
+    const std::vector<double> x = solve_ordered(m, b);
+    ASSERT_EQ(x.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(x[i], ref[i], 1e-9 * scale) << "seed " << seed << " unknown " << i;
+    }
+  }
+}
+
+TEST(OrderedLU, RefactorReusesWorkspaceBitIdentically) {
+  // Same pattern, different values: the second factorization creates
+  // different fill than the first, which the third must fully undo.
+  MnaLike m1 = random_mna_like(20, 2, 7);
+  MnaLike m2 = m1;
+  std::mt19937 rng(9);
+  std::uniform_real_distribution<double> d(0.5, 2.0);
+  for (const auto& [r, c] : m2.pattern) m2.a(r, c) *= (r == c) ? 1e-6 : d(rng);
+  const size_t n = 22;
+  const std::vector<double> b(n, 1.0);
+  gnrfet::linalg::OrderedLU reused(n, m1.pattern);
+  std::vector<double> x;
+  ASSERT_TRUE(reused.factor(values_on(m1.a, m1.pattern)));
+  ASSERT_TRUE(reused.factor(values_on(m2.a, m2.pattern)));
+  ASSERT_TRUE(reused.factor(values_on(m1.a, m1.pattern)));
+  reused.solve(b, x);
+  const std::vector<double> fresh = solve_ordered(m1, b);
+  ASSERT_EQ(x.size(), fresh.size());
+  EXPECT_EQ(std::memcmp(x.data(), fresh.data(), n * sizeof(double)), 0);
+}
+
+TEST(OrderedLU, SingularMatrixIsReportedNotThrown) {
+  // Two voltage sources on the same node: equal branch rows. (2, 2) is in
+  // the pattern but zero, so the same object can later see a regular matrix.
+  const gnrfet::linalg::MatrixEntries entries = {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {2, 2}};
+  DMatrix a(3, 3);
+  a(0, 0) = 1e-3;
+  a(0, 1) = a(0, 2) = 1.0;
+  a(1, 0) = a(2, 0) = 1.0;
+  gnrfet::linalg::OrderedLU lu(3, entries);
+  EXPECT_FALSE(lu.factor(values_on(a, entries)));
+  EXPECT_THROW(gnrfet::linalg::LUReal oracle(a), std::runtime_error);  // the oracle agrees
+  EXPECT_FALSE(lu.factor(std::vector<double>(entries.size(), 0.0)));
+  EXPECT_THROW((void)lu.factor({1.0}), std::invalid_argument);
+
+  a(2, 2) = 1.0;  // regular now: the failed factorizations left nothing behind
+  ASSERT_TRUE(lu.factor(values_on(a, entries)));
+  const std::vector<double> b = {1.0, 2.0, 3.0};
+  std::vector<double> x;
+  lu.solve(b, x);
+  const std::vector<double> ref = gnrfet::linalg::LUReal(a).solve(b);
+  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], ref[i], 1e-12);
+}
+
+TEST(OrderedLU, MinimumDegreeEliminatesLeavesBeforeTheHub) {
+  // Star graph: node 2 couples to every other node. Eliminating it first
+  // would fill the whole matrix; minimum degree takes it only once a
+  // single leaf is left (ties go to the lowest index).
+  const size_t n = 6;
+  gnrfet::linalg::MatrixEntries entries;
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 2) entries.insert(entries.end(), {{2, i}, {i, 2}});
+  }
+  const auto order = gnrfet::linalg::minimum_degree_order(n, entries);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 3, 4, 2, 5}));
+  EXPECT_THROW(gnrfet::linalg::OrderedLU(2, {{0, 1}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(gnrfet::linalg::minimum_degree_order(2, {{0, 2}}), std::invalid_argument);
 }
 
 TEST(Eigh, DiagonalizesHermitian) {

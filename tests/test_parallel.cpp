@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "common/parallel.hpp"
 #include "device/tablegen.hpp"
 #include "explore/montecarlo.hpp"
+#include "explore/tech_explore.hpp"
 #include "gnr/bandstructure.hpp"
 #include "negf/transport.hpp"
 #include "synthetic_device.hpp"
@@ -242,6 +244,41 @@ TEST(ParallelDeterminism, MonteCarloStatisticsInvariantToThreadCount) {
   EXPECT_EQ(serial.mean_frequency_Hz, threaded.mean_frequency_Hz);
   EXPECT_EQ(serial.mean_static_power_W, threaded.mean_static_power_W);
   EXPECT_EQ(serial.mean_dynamic_power_W, threaded.mean_dynamic_power_W);
+}
+
+/// Two ring + SNM plane points on the synthetic nominal table. Each point
+/// runs its own solve_dc and run_transient calls, so this is where the
+/// per-call Newton workspaces meet the thread pool.
+std::vector<explore::ExplorePoint> run_tiny_plane() {
+  explore::DesignKit kit;
+  kit.set_table({12, 0.0}, synthetic::synthetic_table());
+  explore::ExploreOptions opts;
+  opts.ring.t_stop_s = 0.6e-9;
+  opts.ring.dt_s = 1e-12;
+  return explore::explore_plane(kit, {0.10, 0.16}, {0.4}, opts);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(ParallelDeterminism, ExplorePlaneBitIdentical1v4Threads) {
+  ThreadCountGuard g1(1);
+  const auto serial = run_tiny_plane();
+  ThreadCountGuard g4(4);
+  const auto threaded = run_tiny_plane();
+
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_EQ(threaded.size(), serial.size());
+  for (size_t k = 0; k < serial.size(); ++k) {
+    const auto& a = serial[k];
+    const auto& b = threaded[k];
+    EXPECT_TRUE(a.ok) << "point " << k;
+    EXPECT_EQ(a.ok, b.ok) << "point " << k;
+    EXPECT_TRUE(same_bits(a.frequency_Hz, b.frequency_Hz)) << "point " << k;
+    EXPECT_TRUE(same_bits(a.edp_Js, b.edp_Js)) << "point " << k;
+    EXPECT_TRUE(same_bits(a.snm_V, b.snm_V)) << "point " << k;
+    EXPECT_TRUE(same_bits(a.static_power_W, b.static_power_W)) << "point " << k;
+    EXPECT_TRUE(same_bits(a.dynamic_power_W, b.dynamic_power_W)) << "point " << k;
+  }
 }
 
 }  // namespace
